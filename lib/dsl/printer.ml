@@ -1,75 +1,144 @@
 open Orm
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_escaped buf s =
   String.iter
     (function
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+    s
 
-let role_str (r : Ids.role) = Printf.sprintf "%s.%d" r.fact (Ids.side_index r.side)
+let add_role buf (r : Ids.role) =
+  Buffer.add_string buf r.fact;
+  Buffer.add_string buf (if r.side = Ids.Fst then ".1" else ".2")
 
-let seq_str = function
-  | Ids.Single r -> role_str r
-  | Ids.Pair (r1, r2) -> Printf.sprintf "(%s, %s)" (role_str r1) (role_str r2)
+let add_seq buf = function
+  | Ids.Single r -> add_role buf r
+  | Ids.Pair (r1, r2) ->
+      Buffer.add_char buf '(';
+      add_role buf r1;
+      Buffer.add_string buf ", ";
+      add_role buf r2;
+      Buffer.add_char buf ')'
 
-let value_str = function
-  | Value.Str s -> Printf.sprintf "\"%s\"" (escape s)
-  | Value.Int n -> string_of_int n
+let add_list buf add = function
+  | [] -> ()
+  | x :: rest ->
+      add buf x;
+      List.iter
+        (fun x ->
+          Buffer.add_string buf ", ";
+          add buf x)
+        rest
 
-let freq_str (f : Constraints.frequency) =
-  match f.max with
-  | Some m -> Printf.sprintf "%d..%d" f.min m
-  | None -> Printf.sprintf "%d.." f.min
+let add_value buf = function
+  | Value.Str s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
+  | Value.Int n -> Buffer.add_string buf (string_of_int n)
 
-let body_str = function
-  | Constraints.Mandatory r -> "mandatory " ^ role_str r
+let add_freq buf (f : Constraints.frequency) =
+  Buffer.add_string buf (string_of_int f.min);
+  Buffer.add_string buf "..";
+  Option.iter (fun m -> Buffer.add_string buf (string_of_int m)) f.max
+
+let add_body buf body =
+  let str = Buffer.add_string buf in
+  let name buf s = Buffer.add_string buf s in
+  match body with
+  | Constraints.Mandatory r ->
+      str "mandatory ";
+      add_role buf r
   | Constraints.Disjunctive_mandatory roles ->
-      "mandatory_or " ^ String.concat ", " (List.map role_str roles)
-  | Constraints.Uniqueness seq -> "unique " ^ seq_str seq
+      str "mandatory_or ";
+      add_list buf add_role roles
+  | Constraints.Uniqueness seq ->
+      str "unique ";
+      add_seq buf seq
   | Constraints.External_uniqueness roles ->
-      "external_unique " ^ String.concat ", " (List.map role_str roles)
+      str "external_unique ";
+      add_list buf add_role roles
   | Constraints.Frequency (seq, f) ->
-      Printf.sprintf "frequency %s %s" (seq_str seq) (freq_str f)
+      str "frequency ";
+      add_seq buf seq;
+      str " ";
+      add_freq buf f
   | Constraints.Value_constraint (ot, vs) ->
-      Printf.sprintf "value %s {%s}" ot
-        (String.concat ", " (List.map value_str (Value.Constraint.elements vs)))
+      str "value ";
+      str ot;
+      str " {";
+      add_list buf add_value (Value.Constraint.elements vs);
+      str "}"
   | Constraints.Role_exclusion seqs ->
-      "exclusion " ^ String.concat ", " (List.map seq_str seqs)
+      str "exclusion ";
+      add_list buf add_seq seqs
   | Constraints.Subset (sub, super) ->
-      Printf.sprintf "subset %s <= %s" (seq_str sub) (seq_str super)
+      str "subset ";
+      add_seq buf sub;
+      str " <= ";
+      add_seq buf super
   | Constraints.Equality (a, b) ->
-      Printf.sprintf "equal %s = %s" (seq_str a) (seq_str b)
-  | Constraints.Type_exclusion ots -> "exclusive_types " ^ String.concat ", " ots
+      str "equal ";
+      add_seq buf a;
+      str " = ";
+      add_seq buf b
+  | Constraints.Type_exclusion ots ->
+      str "exclusive_types ";
+      add_list buf name ots
   | Constraints.Total_subtypes (super, subs) ->
-      Printf.sprintf "total %s = %s" super (String.concat ", " subs)
+      str "total ";
+      str super;
+      str " = ";
+      add_list buf name subs
   | Constraints.Ring (kind, fact) ->
-      Printf.sprintf "ring %s %s" (Ring.abbrev kind) fact
+      str "ring ";
+      str (Ring.abbrev kind);
+      str " ";
+      str fact
 
 let to_string schema =
-  let buf = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "schema %s" (Schema.name schema);
+  let buf = Buffer.create 1024 in
+  let str = Buffer.add_string buf in
+  str "schema ";
+  str (Schema.name schema);
+  str "\n";
   let graph = Schema.graph schema in
   List.iter
     (fun ot ->
-      match Subtype_graph.direct_supertypes graph ot with
-      | [] -> line "object_type %s" ot
-      | supers -> line "object_type %s subtype_of %s" ot (String.concat ", " supers))
+      str "object_type ";
+      str ot;
+      (match Subtype_graph.direct_supertypes graph ot with
+      | [] -> ()
+      | supers ->
+          str " subtype_of ";
+          add_list buf Buffer.add_string supers);
+      str "\n")
     (Schema.object_types schema);
   List.iter
     (fun (ft : Fact_type.t) ->
-      match ft.reading with
-      | None -> line "fact %s (%s, %s)" ft.name ft.player1 ft.player2
+      str "fact ";
+      str ft.name;
+      str " (";
+      str ft.player1;
+      str ", ";
+      str ft.player2;
+      str ")";
+      (match ft.reading with
+      | None -> ()
       | Some r ->
-          line "fact %s (%s, %s) reading \"%s\"" ft.name ft.player1 ft.player2
-            (escape r))
+          str " reading \"";
+          add_escaped buf r;
+          str "\"");
+      str "\n")
     (Schema.fact_types schema);
   List.iter
-    (fun (c : Constraints.t) -> line "[%s] %s" c.id (body_str c.body))
+    (fun (c : Constraints.t) ->
+      str "[";
+      str c.id;
+      str "] ";
+      add_body buf c.body;
+      str "\n")
     (Schema.constraints schema);
   Buffer.contents buf
 

@@ -8,19 +8,22 @@
     computes a canonical representative of that equivalence class:
 
     - object types become [T0], [T1], … and fact types [F0], [F1], …, the
-      indices chosen by partition-refinement coloring over the schema's
-      structure (subtype edges, role players, constraint incidences),
-      residual symmetry broken by backtracking individualization that keeps
-      the lexicographically smallest serialization;
-    - the schema name becomes [S0] and constraints are renumbered [c0], … in
-      sorted body order; set-like constraint arguments (disjunctive
+      indices chosen by integer partition refinement over the schema's
+      structure (subtype edges, role players, readings, constraint
+      incidences), residual symmetry broken by backtracking
+      individualization that skips twins (nodes whose swap is an
+      automorphism) and keeps the leaf with the smallest integer
+      certificate; only that leaf is built;
+    - the schema name becomes [S0] and constraints are numbered [c0], … in
+      certificate order; set-like constraint arguments (disjunctive
       mandatory, external uniqueness, exclusions, total-subtype lists) are
-      sorted;
+      listed in canonical order;
     - repeated subterms of the canonical schema are hash-consed: every
       occurrence of a canonical name, role or role sequence is physically
       shared.
 
-    Readings and value sets are content, not names: they are preserved
+    Readings, value sets, frequency ranges and ring kinds are content, not
+    names: they are preserved
     verbatim and participate in the digest, so schemas that differ in them
     do not collide.  {!digest} of the canonical serialization is the
     content address used by the server's canonical cache tier and by the
@@ -33,7 +36,8 @@ type rename = {
   constraint_ids : (string * string) list;
 }
 (** The bijection back from canonical names to the input schema's names.
-    [types]/[facts]/[constraint_ids] are sorted by canonical name. *)
+    [types] and [facts] are sorted by canonical name; [constraint_ids] run
+    [c0], [c1], … in numeric order. *)
 
 type result = {
   schema : Orm.Schema.t;  (** the canonical representative *)

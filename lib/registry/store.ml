@@ -8,17 +8,39 @@ type entry = {
   diagnostics : int;
 }
 
+(* The covering index keeps its entries in columns indexed by a dense
+   entry id: a handful of large arrays instead of several small blocks per
+   entry.  A long-running server keeps ingesting, and small long-lived
+   blocks promoted among short-lived garbage grew its heap about four times
+   faster than its live data; large arrays do not. *)
+
+(* Entry ids with one pattern or one verdict, in a growable array.
+   Entries are insert-only and indexed once, so a posting never holds a
+   duplicate and its length is its match count. *)
+type posting = { mutable ids : int array; mutable len : int }
+
 type t = {
   format_version : int;
   dir : string;
   index_path : string;
-  entries : (string, entry) Hashtbl.t;
-  (* posting lists (digest sets) keyed by pattern number / verdict, so a
-     query touches the smallest matching list instead of scanning every
-     entry.  Entries are insert-only, so maintenance is a single point:
-     [apply], which both replay and ingest funnel through. *)
-  by_pattern : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-  by_verdict : (string, (string, unit) Hashtbl.t) Hashtbl.t;
+  mutable count : int;
+  mutable keys : Bytes.t;  (* packed digests, 16 bytes per id *)
+  mutable names : string array;
+  mutable verdicts : string array;
+  mutable patterns : int array;
+  mutable diagnostics : int array;
+  (* open addressing from digest to id: -1 is a free slot *)
+  mutable slots : int array;
+  scratch : Bytes.t;  (* a looked-up digest, packed *)
+  (* posting lists keyed by pattern number / verdict, so a query touches
+     the smallest matching list instead of scanning every entry.
+     Maintenance is a single point: [apply], which both replay and ingest
+     funnel through. *)
+  by_pattern : (int, posting) Hashtbl.t;
+  by_verdict : (string, posting) Hashtbl.t;
+  (* verdicts and names repeat across entries: one string per distinct
+     value, owned by this store *)
+  strings : (string, string) Hashtbl.t;
   mutable offset : int;  (* bytes of index.ndjson already replayed *)
   mutable ingested : int;
   mutable duplicates : int;
@@ -45,19 +67,144 @@ let mkdir_p dir =
   in
   go dir
 
+(* ---- digests ----------------------------------------------------------- *)
+
+(* Every digest is a canonical one ({!Canon.digest}: 32 lowercase hex
+   digits), stored packed into 16 bytes of [keys].  A column of digest
+   strings would be one small long-lived block per entry; on the
+   registry-ingest benchmark it read about 20% more server RSS.  Packed
+   digests compare byte-wise in the same order as their hex text. *)
+
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | _ -> -1
+
+let is_digest s =
+  let rec hex i = i = 32 || (hex_value s.[i] >= 0 && hex (i + 1)) in
+  String.length s = 32 && hex 0
+
+let pack s buf off =
+  for i = 0 to 15 do
+    Bytes.set_uint8 buf (off + i)
+      ((hex_value s.[2 * i] lsl 4) lor hex_value s.[(2 * i) + 1])
+  done
+
+let digest_of t id =
+  String.init 32 (fun i ->
+      let b = Bytes.get_uint8 t.keys ((id * 16) + (i / 2)) in
+      "0123456789abcdef".[if i land 1 = 0 then b lsr 4 else b land 15])
+
+(* MD5 bytes are uniform: the first eight are the hash *)
+let hash_at buf off = Int64.to_int (Bytes.get_int64_le buf off) land max_int
+
+let compare_ids t a b =
+  let c =
+    Int64.unsigned_compare
+      (Bytes.get_int64_be t.keys (a * 16))
+      (Bytes.get_int64_be t.keys (b * 16))
+  in
+  if c <> 0 then c
+  else
+    Int64.unsigned_compare
+      (Bytes.get_int64_be t.keys ((a * 16) + 8))
+      (Bytes.get_int64_be t.keys ((b * 16) + 8))
+
+(* The slot holding [digest]'s id, or the free slot where it would go.
+   [digest] must satisfy [is_digest]. *)
+let probe t digest =
+  pack digest t.scratch 0;
+  let mask = Array.length t.slots - 1 in
+  let k0 = Bytes.get_int64_le t.scratch 0 and k1 = Bytes.get_int64_le t.scratch 8 in
+  let rec scan i =
+    let id = t.slots.(i) in
+    if
+      id < 0
+      || Int64.equal (Bytes.get_int64_le t.keys (id * 16)) k0
+         && Int64.equal (Bytes.get_int64_le t.keys ((id * 16) + 8)) k1
+    then i
+    else scan ((i + 1) land mask)
+  in
+  scan (hash_at t.scratch 0 land mask)
+
+(* [digest]'s id, or -1 *)
+let find_id t digest = if is_digest digest then t.slots.(probe t digest) else -1
+
+let rehash t capacity =
+  let slots = Array.make capacity (-1) in
+  let mask = capacity - 1 in
+  for id = 0 to t.count - 1 do
+    let rec go i = if slots.(i) < 0 then slots.(i) <- id else go ((i + 1) land mask) in
+    go (hash_at t.keys (id * 16) land mask)
+  done;
+  t.slots <- slots
+
+let grow_columns t =
+  let cap = Array.length t.patterns in
+  let cap' = 2 * cap in
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  t.keys <- Bytes.extend t.keys 0 (16 * cap);
+  t.names <- extend t.names "";
+  t.verdicts <- extend t.verdicts "";
+  t.patterns <- extend t.patterns 0;
+  t.diagnostics <- extend t.diagnostics 0
+
 let posting tbl key =
   match Hashtbl.find_opt tbl key with
-  | Some set -> set
+  | Some p -> p
   | None ->
-      let set = Hashtbl.create 16 in
-      Hashtbl.replace tbl key set;
-      set
+      let p = { ids = Array.make 16 0; len = 0 } in
+      Hashtbl.replace tbl key p;
+      p
 
-let index_entry t e =
-  Hashtbl.replace (posting t.by_verdict e.verdict) e.digest ();
-  List.iter
-    (fun n -> Hashtbl.replace (posting t.by_pattern n) e.digest ())
-    (patterns_of_bitmap e.patterns)
+let push p id =
+  if p.len = Array.length p.ids then begin
+    let ids = Array.make (2 * p.len) 0 in
+    Array.blit p.ids 0 ids 0 p.len;
+    p.ids <- ids
+  end;
+  p.ids.(p.len) <- id;
+  p.len <- p.len + 1
+
+let intern t s =
+  match Hashtbl.find_opt t.strings s with
+  | Some s -> s
+  | None ->
+      Hashtbl.add t.strings s s;
+      s
+
+(* Room for one more entry in the columns and the digest table. *)
+let reserve t =
+  if t.count = Array.length t.patterns then grow_columns t;
+  if 2 * (t.count + 1) > Array.length t.slots then rehash t (2 * Array.length t.slots)
+
+(* Adds [digest] at [slot], the free slot [probe] found for it after
+   [reserve]. *)
+let add t ~slot ~digest ~name ~verdict ~patterns ~diagnostics =
+  let id = t.count in
+  pack digest t.keys (id * 16);
+  t.names.(id) <- intern t name;
+  t.verdicts.(id) <- intern t verdict;
+  t.patterns.(id) <- patterns;
+  t.diagnostics.(id) <- diagnostics;
+  t.count <- id + 1;
+  t.slots.(slot) <- id;
+  push (posting t.by_verdict t.verdicts.(id)) id;
+  List.iter (fun n -> push (posting t.by_pattern n) id) (patterns_of_bitmap patterns)
+
+let entry_of t id =
+  {
+    digest = digest_of t id;
+    name = t.names.(id);
+    verdict = t.verdicts.(id);
+    patterns = t.patterns.(id);
+    diagnostics = t.diagnostics.(id);
+  }
 
 (* ---- index replay ------------------------------------------------------ *)
 
@@ -79,27 +226,20 @@ let apply t line =
               ( J.string_member "digest" record,
                 J.string_member "verdict" record )
             with
-            | Some digest, Some verdict ->
-                if Hashtbl.mem t.entries digest then
-                  t.duplicates <- t.duplicates + 1
+            | Some digest, Some verdict when is_digest digest ->
+                reserve t;
+                let slot = probe t digest in
+                if t.slots.(slot) >= 0 then t.duplicates <- t.duplicates + 1
                 else begin
-                  let e =
-                    {
-                      digest;
-                      name =
-                        Option.value ~default:""
-                          (J.string_member "name" record);
-                      verdict;
-                      patterns =
-                        Option.value ~default:0
-                          (J.int_member "patterns" record);
-                      diagnostics =
-                        Option.value ~default:0
-                          (J.int_member "diagnostics" record);
-                    }
-                  in
-                  Hashtbl.replace t.entries digest e;
-                  index_entry t e;
+                  add t ~slot ~digest
+                    ~name:
+                      (Option.value ~default:"" (J.string_member "name" record))
+                    ~verdict
+                    ~patterns:
+                      (Option.value ~default:0 (J.int_member "patterns" record))
+                    ~diagnostics:
+                      (Option.value ~default:0
+                         (J.int_member "diagnostics" record));
                   t.ingested <- t.ingested + 1
                 end
             | _ -> ()))
@@ -148,9 +288,17 @@ let create ~format_version ~dir =
       format_version;
       dir;
       index_path = Filename.concat dir "index.ndjson";
-      entries = Hashtbl.create 256;
+      count = 0;
+      keys = Bytes.create (16 * 256);
+      names = Array.make 256 "";
+      verdicts = Array.make 256 "";
+      patterns = Array.make 256 0;
+      diagnostics = Array.make 256 0;
+      slots = Array.make 512 (-1);
+      scratch = Bytes.create 16;
       by_pattern = Hashtbl.create 16;
       by_verdict = Hashtbl.create 4;
+      strings = Hashtbl.create 64;
       offset = 0;
       ingested = 0;
       duplicates = 0;
@@ -160,8 +308,10 @@ let create ~format_version ~dir =
   t
 
 let dir t = t.dir
-let find t digest = Hashtbl.find_opt t.entries digest
-let size t = Hashtbl.length t.entries
+let find t digest =
+  match find_id t digest with -1 -> None | id -> Some (entry_of t id)
+
+let size t = t.count
 let ingested t = t.ingested
 let duplicates t = t.duplicates
 
@@ -198,9 +348,10 @@ let append_index t record =
           ignore (Unix.write_substring fd line 0 (String.length line)))
 
 let ingest t ~digest ~name ~verdict ~patterns ~diagnostics ~entry_body =
+  if not (is_digest digest) then
+    invalid_arg "Store.ingest: digest is not 32 lowercase hex digits";
   refresh t;
-  let verdict_of_existing = Hashtbl.mem t.entries digest in
-  if verdict_of_existing then begin
+  if find_id t digest >= 0 then begin
     append_index t
       (J.Obj [ ("dup", J.String digest); ("fv", J.Int t.format_version) ]);
     refresh t;
@@ -274,67 +425,96 @@ let parse_query q =
     (Ok []) toks
   |> Result.map List.rev
 
-let matches entry = function
-  | T_pattern n -> entry.patterns land pattern_bit n <> 0
-  | T_verdict v -> entry.verdict = v
+let matches t id = function
+  | T_pattern n -> t.patterns.(id) land pattern_bit n <> 0
+  | T_verdict v -> t.verdicts.(id) = v
 
 let posting_for t = function
   | T_pattern n -> Hashtbl.find_opt t.by_pattern n
   | T_verdict v -> Hashtbl.find_opt t.by_verdict v
 
+(* The [limit] smallest digests offered so far, as ids in ascending digest
+   order: a query keeps a page, not every match.  [limit] comes from the
+   client, so the buffer is sized by [matches], the most that can be
+   offered, never by [limit] alone. *)
+type page = { ids : int array; mutable filled : int }
+
+let page ~limit ~matches = { ids = Array.make (max 0 (min limit matches)) 0; filled = 0 }
+
+let offer t pg id =
+  let cap = Array.length pg.ids in
+  if pg.filled < cap || (cap > 0 && compare_ids t id pg.ids.(cap - 1) < 0) then begin
+    (* shift the larger digests right by one, dropping the last when full *)
+    let i = ref (min pg.filled (cap - 1)) in
+    while !i > 0 && compare_ids t id pg.ids.(!i - 1) < 0 do
+      pg.ids.(!i) <- pg.ids.(!i - 1);
+      decr i
+    done;
+    pg.ids.(!i) <- id;
+    if pg.filled < cap then pg.filled <- pg.filled + 1
+  end
+
+let page_entries t pg = List.init pg.filled (fun i -> entry_of t pg.ids.(i))
+
 let query t ?(limit = 50) q =
   match parse_query q with
   | Error e -> Error e
   | Ok [] ->
-      (* no terms: every entry matches, so the full scan is the answer *)
-      let all =
-        Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-        |> List.sort (fun a b -> String.compare a.digest b.digest)
-      in
-      let total = List.length all in
-      Ok (List.filteri (fun i _ -> i < limit) all, total)
-  | Ok terms -> (
-      (* drive from the smallest posting list and check the remaining terms
-         per candidate: O(min posting) instead of O(entries) *)
+      (* no terms: every entry matches *)
+      let pg = page ~limit ~matches:t.count in
+      for id = 0 to t.count - 1 do
+        offer t pg id
+      done;
+      Ok (page_entries t pg, t.count)
+  | Ok (first :: _ as terms) -> (
       let postings = List.map (posting_for t) terms in
       if List.exists Option.is_none postings then Ok ([], 0)
       else
-        match List.filter_map Fun.id postings with
-        | [] -> Ok ([], 0)
-        | p :: ps ->
-            let smallest =
-              List.fold_left
-                (fun a b ->
-                  if Hashtbl.length b < Hashtbl.length a then b else a)
-                p ps
-            in
-            let all =
-              Hashtbl.fold
-                (fun digest () acc ->
-                  match Hashtbl.find_opt t.entries digest with
-                  | Some e when List.for_all (matches e) terms -> e :: acc
-                  | _ -> acc)
-                smallest []
-              |> List.sort (fun a b -> String.compare a.digest b.digest)
-            in
-            let total = List.length all in
-            Ok (List.filteri (fun i _ -> i < limit) all, total))
+        let postings = List.filter_map Fun.id postings in
+        if List.for_all (fun term -> term = first) terms then begin
+          (* one distinct term: its posting is the answer *)
+          let p = List.hd postings in
+          let pg = page ~limit ~matches:p.len in
+          for i = 0 to p.len - 1 do
+            offer t pg p.ids.(i)
+          done;
+          Ok (page_entries t pg, p.len)
+        end
+        else begin
+          (* drive from the smallest posting list and check the remaining
+             terms per candidate: O(min posting) instead of O(entries) *)
+          let smallest =
+            List.fold_left
+              (fun a b -> if b.len < a.len then b else a)
+              (List.hd postings) postings
+          in
+          let pg = page ~limit ~matches:smallest.len in
+          let total = ref 0 in
+          for i = 0 to smallest.len - 1 do
+            let id = smallest.ids.(i) in
+            if List.for_all (matches t id) terms then begin
+              incr total;
+              offer t pg id
+            end
+          done;
+          Ok (page_entries t pg, !total)
+        end)
 
 (* ---- aggregates -------------------------------------------------------- *)
 
 let stats t =
   let verdicts = Hashtbl.create 4 in
   let pattern_counts = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ e ->
-      Hashtbl.replace verdicts e.verdict
-        (1 + Option.value ~default:0 (Hashtbl.find_opt verdicts e.verdict));
-      List.iter
-        (fun n ->
-          Hashtbl.replace pattern_counts n
-            (1 + Option.value ~default:0 (Hashtbl.find_opt pattern_counts n)))
-        (patterns_of_bitmap e.patterns))
-    t.entries;
+  for id = 0 to t.count - 1 do
+    let v = t.verdicts.(id) in
+    Hashtbl.replace verdicts v
+      (1 + Option.value ~default:0 (Hashtbl.find_opt verdicts v));
+    List.iter
+      (fun n ->
+        Hashtbl.replace pattern_counts n
+          (1 + Option.value ~default:0 (Hashtbl.find_opt pattern_counts n)))
+      (patterns_of_bitmap t.patterns.(id))
+  done;
   let leaderboard =
     Hashtbl.fold (fun n count acc -> (n, count) :: acc) pattern_counts []
     |> List.sort (fun (na, ca) (nb, cb) ->

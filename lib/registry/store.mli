@@ -16,6 +16,13 @@
       pattern bitmap), written atomically (temp + rename) before the index
       line that references it.
 
+    In memory the covering index is columnar: entries are dense ids into
+    a few growable arrays (the digest packed into 16 bytes, name, verdict,
+    pattern bitmap, diagnostic count), an open-addressing table maps a
+    digest to its id,
+    the pattern and verdict posting lists hold ids, and verdict and name
+    strings are interned per store.
+
     Every record carries the cache-key format version; records written by
     a build with a different {!Cache_key.format_version} are skipped on
     replay, so a format bump invalidates the registry in the same breath
@@ -41,7 +48,8 @@ val refresh : t -> unit
     other worker).  Cheap when nothing changed: one [stat]. *)
 
 val find : t -> string -> entry option
-(** Covering-index lookup by digest (no [refresh] implied). *)
+(** Covering-index lookup by digest (no [refresh] implied); [None] for a
+    string that is not a canonical digest. *)
 
 val ingest :
   t ->
@@ -56,7 +64,11 @@ val ingest :
     another worker's appended records — {!refresh} runs first) is counted
     as a duplicate and its entry left untouched; otherwise the entry file
     is written and the index line appended.  Counters are derived from the
-    log replay only, so they agree across workers. *)
+    log replay only, so they agree across workers.
+
+    @raise Invalid_argument if [digest] is not a canonical digest
+    ({!Canon.digest}: 32 lowercase hex digits); replay likewise skips an
+    index record whose digest is not canonical. *)
 
 val size : t -> int
 (** Distinct digests in the covering index. *)
@@ -72,7 +84,10 @@ val query : t -> ?limit:int -> string -> (entry list * int, string) result
     index without re-checking anything: whitespace-separated terms
     [pattern:N] (pattern [N] fired) and [verdict:unsat]/[verdict:clean].
     Returns the first [limit] matches (default 50, ordered by digest) and
-    the total match count.  [Error] on a malformed term. *)
+    the total match count; no terms match every entry.  Only the [limit]
+    smallest digests are kept while matching, and a query with one
+    distinct term takes its total from that term's posting list.  [Error]
+    on a malformed term. *)
 
 val load_entry : t -> string -> Orm_json.t option
 (** The full stored record for a digest ([None] if missing/corrupt). *)

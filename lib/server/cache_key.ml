@@ -1,4 +1,4 @@
-let format_version = 3
+let format_version = 4
 
 let render ~format_version ~subject ~meth ~settings_key ~budget ~sat_budget
     ~backend =

@@ -17,7 +17,9 @@ val format_version : int
     v2: unified JSON core — shortest-round-trip float printing and the
     sharded disk-cache layout.
     v3: canonical cache tier and registry — keys gain a structural
-    subject, and canonicalization now defines result identity. *)
+    subject, and canonicalization now defines result identity.
+    v4: canonical form chosen by the smallest integer leaf certificate —
+    canonical texts and digests changed. *)
 
 val render :
   format_version:int ->

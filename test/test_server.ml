@@ -572,7 +572,7 @@ let test_format_version_bump_misses () =
         Orm_registry.Store.create ~format_version:P.format_version ~dir
       in
       (match
-         Orm_registry.Store.ingest store ~digest:"c-deadbeef" ~name:"s"
+         Orm_registry.Store.ingest store ~digest:(Digest.to_hex (Digest.string "s")) ~name:"s"
            ~verdict:"sat" ~patterns:0 ~diagnostics:0
            ~entry_body:(Orm_json.Obj [])
        with
@@ -684,6 +684,21 @@ let test_registry_dispatch () =
         Server.handle srv (P.build_request ~q:"pattern:notanum" P.Query)
       in
       Alcotest.(check string) "bad query is error" "error" (status_of resp);
+      (* the limit comes from the client: a huge one answers like a small
+         one instead of sizing anything by it *)
+      let entries_of limit =
+        let resp, _ =
+          Server.handle srv (P.build_request ~q:"" ~limit P.Query)
+        in
+        match P.parse_response resp with
+        | Ok r ->
+            Alcotest.(check bool) "query total" true
+              (P.member "total" r.P.body = Some (P.Int 2));
+            P.member "entries" r.P.body
+        | Error msg -> Alcotest.fail msg
+      in
+      Alcotest.(check bool) "huge limit answers like limit 1000" true
+        (entries_of (max_int / 2) = entries_of 1000);
       (* registry-stats aggregates *)
       let resp, _ = Server.handle srv (P.build_request P.Registry_stats) in
       (match P.parse_response resp with
@@ -699,7 +714,7 @@ let test_registry_dispatch () =
       Alcotest.(check int) "ingested counter" 2 snap.Metrics.registry_ingested;
       Alcotest.(check int) "duplicate counter" 1
         snap.Metrics.registry_duplicates;
-      Alcotest.(check int) "query counter" 1 snap.Metrics.registry_queries;
+      Alcotest.(check int) "query counter" 3 snap.Metrics.registry_queries;
       (* and the stats method grew a registry section *)
       let resp, _ = Server.handle srv (P.build_request P.Stats) in
       match P.parse_response resp with
